@@ -298,7 +298,6 @@ func runLive(chains int, profile, tier bool) error {
 		// kernels (4 work-groups a launch) cross it within the run and
 		// the promotion machinery is visible.
 		tc = rt.EnableTiering(interp.TierOptions{HotInstrs: 1 << 12, SampleEvery: 1})
-		defer tc.Close()
 	}
 	var prof *interp.Profiler
 	if profile && tier {

@@ -31,10 +31,11 @@ type Runtime struct {
 	Ctx   *opencl.Context
 	Queue *opencl.CommandQueue
 
-	// plats and pool are set when the runtime is constructed over a
-	// device pool (NewClusterRuntime): kernel executions are then placed
-	// per-device by the cluster policy and shares are planned against
-	// the chosen device's resident set only.
+	// plats lists every platform the runtime launches kernels on:
+	// just Plat, or the whole device pool (NewClusterRuntime, which also
+	// sets pool). With a pool, kernel executions are placed per-device
+	// by the cluster policy and shares are planned against the chosen
+	// device's resident set only.
 	plats []*opencl.Platform
 	pool  *cluster.Pool
 
@@ -185,6 +186,7 @@ type Request struct {
 func NewRuntime(plat *opencl.Platform) *Runtime {
 	rt := &Runtime{
 		Plat:     plat,
+		plats:    []*opencl.Platform{plat},
 		Ctx:      plat.CreateContext(),
 		reqCh:    make(chan *Request, 64),
 		quit:     make(chan struct{}),
@@ -267,11 +269,8 @@ func (rt *Runtime) SetTelemetry(tr *telemetry.Tracer, reg *telemetry.Registry, s
 	if reg != nil {
 		sink = warpTelemetry{reg}
 	}
-	rt.Plat.Machines().SetWarpStats(sink)
 	for _, plat := range rt.plats {
-		if plat != rt.Plat {
-			plat.Machines().SetWarpStats(sink)
-		}
+		plat.Machines().SetWarpStats(sink)
 	}
 	// Shared-program-cache hits and misses, labeled with the cached
 	// program's tier, make tier promotions and cold compiles observable.
@@ -299,17 +298,14 @@ func (c cacheTelemetry) ProgramCacheMiss(tier int) {
 // optimizing eagerly, first launches run a cheap tier-0 compile, and
 // the returned controller recompiles hot kernels in the background
 // (see interp.TierOptions for the knobs). Call once, before connecting
-// applications, and Close the controller after Shutdown. Order with
+// applications; Shutdown closes the controller. Order with
 // SetTelemetry is immaterial — whichever comes second wires the
 // promotion metrics.
 func (rt *Runtime) EnableTiering(opts interp.TierOptions) *interp.TierController {
 	tc := interp.NewTierController(opts)
 	rt.tier = tc
-	rt.Plat.Machines().SetTierController(tc)
 	for _, plat := range rt.plats {
-		if plat != rt.Plat {
-			plat.Machines().SetTierController(tc)
-		}
+		plat.Machines().SetTierController(tc)
 	}
 	rt.wireTierTelemetry()
 	return tc
@@ -354,18 +350,17 @@ func (w warpTelemetry) ObserveWarpLaunch(st interp.WarpLaunchStats) {
 // per-block profiles then accumulate for each kernel the interpreter
 // runs; see interp.NewProfiler for the sampling knobs.
 func (rt *Runtime) SetProfiler(p *interp.Profiler) {
-	rt.Plat.Machines().SetProfiler(p)
 	for _, plat := range rt.plats {
-		if plat != rt.Plat {
-			plat.Machines().SetProfiler(p)
-		}
+		plat.Machines().SetProfiler(p)
 	}
 }
 
-// Shutdown stops the daemon after draining pending requests.
+// Shutdown stops the daemon after draining pending requests, then
+// closes the tier controller EnableTiering started.
 func (rt *Runtime) Shutdown() {
 	close(rt.quit)
 	rt.wg.Wait()
+	rt.tier.Close()
 }
 
 // Stats returns a snapshot of runtime counters.

@@ -9,8 +9,11 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/leakcheck"
 	"repro/internal/opencl"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 const vaddSrc = `
 kernel void vadd(global const float* a, global const float* b, global float* c, int n)

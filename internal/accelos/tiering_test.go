@@ -39,7 +39,6 @@ func TestRuntimeTieredTelemetry(t *testing.T) {
 	rt := NewRuntime(opencl.GetPlatforms()[0])
 	defer rt.Shutdown()
 	tc := rt.EnableTiering(interp.TierOptions{HotInstrs: 1, SampleEvery: 1})
-	defer tc.Close()
 	reg := telemetry.NewRegistry()
 	rt.SetTelemetry(nil, reg, nil)
 	defer interp.SetCacheMetrics(nil)

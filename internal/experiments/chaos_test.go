@@ -15,6 +15,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/leakcheck"
 )
 
 func TestMain(m *testing.M) {
@@ -22,7 +24,7 @@ func TestMain(m *testing.M) {
 		ServeChaosDaemon(sock)
 		return
 	}
-	os.Exit(m.Run())
+	leakcheck.Main(m)
 }
 
 // TestChaosRuntime is phase A: seeded device failures and slice delays

@@ -303,10 +303,10 @@ kernel void f(global int* out)
 	}
 }
 
-// TestWorkerPool: tasks run, a busy pool rejects instead of queueing,
-// and Close is idempotent.
+// TestWorkerPool: tasks run, and a busy pool rejects instead of
+// queueing.
 func TestWorkerPool(t *testing.T) {
-	p := NewWorkerPool(2)
+	p := newWorkerPool(2)
 	done := make(chan int, 2)
 	block := make(chan struct{})
 	// Handoff is rendezvous-based: a freshly started worker needs a
@@ -332,9 +332,8 @@ func TestWorkerPool(t *testing.T) {
 	close(block)
 	<-done
 	<-done
-	p.Close()
-	if p.TrySubmit(func() {}) {
-		t.Error("closed pool accepted a task")
+	if !submit(func() { done <- 3 }) {
+		t.Fatal("pool did not take work again after its tasks finished")
 	}
-	p.Close() // idempotent
+	<-done
 }

@@ -107,11 +107,6 @@ type Machine struct {
 	// the tree-walking reference interpreter.
 	Engine Engine
 
-	// Workers is the persistent worker set VM launches borrow parallel
-	// group runners from (opencl.MachinePool seeds it per platform).
-	// Nil machines share a process-wide default pool.
-	Workers *WorkerPool
-
 	mu      sync.Mutex
 	regions []*Region
 

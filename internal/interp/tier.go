@@ -287,13 +287,15 @@ func (tc *TierController) promote(st *tierState) {
 		tc.prof.ResetKernel(k)
 	}
 	st.inflight.Store(false)
-	tc.promotions.Add(1)
 	tc.mu.Lock()
 	sink := tc.sink
 	tc.mu.Unlock()
 	if sink != nil {
 		sink(TierEvent{Kernels: st.kernels, Tier: p.Tier(), CompileNs: elapsed})
 	}
+	// Count the promotion only once its event is out, so a caller that
+	// sees Promotions() advance also sees the sink's effects.
+	tc.promotions.Add(1)
 }
 
 // guideFor builds the profile guide from the controller profiler's

@@ -121,11 +121,12 @@ const stepBatch = 4096
 // launchVM runs the kernel's work-groups on persistent workers: the
 // claim loop pulls work-group linear indices from an atomic cursor and
 // runs them to completion. The launching goroutine always runs a claim
-// loop itself; up to workers-1 helpers are borrowed from the machine's
-// WorkerPool (no goroutine is ever spawned per launch — tiny slices on
-// pooled machines used to pay GOMAXPROCS spawns each). The first
-// faulting group (in linear order) wins error reporting, as under the
-// old sequential group loop.
+// loop itself; up to workers-1 helpers are borrowed from the
+// process-wide pool, and a launch that finds them all busy runs its
+// groups inline (no goroutine is ever spawned per launch — tiny slices
+// would pay GOMAXPROCS spawns each). The first faulting group (in
+// linear order) wins error reporting, as under the old sequential
+// group loop.
 func (m *Machine) launchVM(fn *ir.Function, args []Value, locals []localArg, nd NDRange) error {
 	prog := m.Program()
 	kcf := prog.fns[fn.Name]
@@ -188,13 +189,9 @@ func (m *Machine) launchVM(fn *ir.Function, args []Value, locals []localArg, nd 
 			}
 		}
 	}
-	pool := m.Workers
-	if pool == nil {
-		pool = defaultWorkers()
-	}
 	for w := int64(1); w < workers; w++ {
 		wg.Add(1)
-		if !pool.TrySubmit(func() { defer wg.Done(); claim() }) {
+		if !helpers.TrySubmit(func() { defer wg.Done(); claim() }) {
 			// Every worker is busy with other launches; their claim
 			// loops drain those first, so run this launch here instead
 			// of queueing behind them.

@@ -1,85 +1,52 @@
 package interp
 
-import (
-	"runtime"
-	"sync"
-)
+import "runtime"
 
-// WorkerPool is a persistent set of goroutines that execute work-group
-// batches for VM launches. Before it existed, every Launch spawned up to
-// GOMAXPROCS fresh goroutines; for the sliced execution engine — whose
-// slices can be a handful of small work-groups — the spawn cost rivaled
-// the work. A pool is attached to a Machine (opencl.MachinePool owns
-// one per platform and seeds it on Acquire); machines without one share
-// a lazily started process-wide default.
-//
-// Tasks are self-sufficient group-claim loops (they pull group indices
-// from the launch's atomic cursor until it runs dry), so the pool never
-// needs to guarantee placement: TrySubmit hands a task to an idle worker
-// if there is one, and the launching goroutine always runs the claim
-// loop itself too. A fully busy pool therefore degrades to inline
-// execution instead of queueing or deadlocking.
-type WorkerPool struct {
+// helpers is the process-wide set of persistent goroutines that execute
+// work-group batches for VM launches. Every machine borrows from it, so
+// a process runs GOMAXPROCS helpers however many platforms, runtimes or
+// machine pools it creates. It starts at package init and is never
+// closed: its goroutines exist before any test or daemon lifecycle
+// begins, so goroutine-leak checks count them in their baseline.
+var helpers = newWorkerPool(0)
+
+// workerPool is a fixed set of goroutines fed through an unbuffered
+// channel. Tasks are self-sufficient group-claim loops (they pull group
+// indices from the launch's atomic cursor until it runs dry), so the
+// pool never needs to guarantee placement: TrySubmit hands a task to an
+// idle worker if there is one, and the launching goroutine always runs
+// the claim loop itself too. A fully busy pool therefore degrades to
+// inline execution instead of queueing or deadlocking.
+type workerPool struct {
 	tasks chan func()
-
-	mu     sync.Mutex
-	closed bool
 }
 
-// NewWorkerPool starts a pool of n persistent workers (n < 1 means
+// newWorkerPool starts a pool of n persistent workers (n < 1 means
 // GOMAXPROCS).
-func NewWorkerPool(n int) *WorkerPool {
+func newWorkerPool(n int) *workerPool {
 	if n < 1 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	p := &WorkerPool{tasks: make(chan func())}
+	p := &workerPool{tasks: make(chan func())}
 	for i := 0; i < n; i++ {
 		go p.worker()
 	}
 	return p
 }
 
-func (p *WorkerPool) worker() {
+func (p *workerPool) worker() {
 	for f := range p.tasks {
 		f()
 	}
 }
 
 // TrySubmit hands the task to an idle worker, reporting false (without
-// running it) when every worker is busy or the pool is closed.
-func (p *WorkerPool) TrySubmit(f func()) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return false
-	}
+// running it) when every worker is busy.
+func (p *workerPool) TrySubmit(f func()) bool {
 	select {
 	case p.tasks <- f:
 		return true
 	default:
 		return false
 	}
-}
-
-// Close stops the workers once their current tasks finish. Subsequent
-// TrySubmit calls report false.
-func (p *WorkerPool) Close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.closed {
-		p.closed = true
-		close(p.tasks)
-	}
-}
-
-// defaultWorkers is the shared pool for machines not owned by a
-// platform machine pool.
-var (
-	defaultWorkersOnce sync.Once
-	defaultWorkersPool *WorkerPool
-)
-
-func defaultWorkers() *WorkerPool {
-	defaultWorkersOnce.Do(func() { defaultWorkersPool = NewWorkerPool(0) })
-	return defaultWorkersPool
 }

@@ -97,44 +97,70 @@ func TestUserEventGatesCommand(t *testing.T) {
 	}
 }
 
-// TestWaitListOrderingProperty enqueues a randomized chain of +1 kernels
-// on an out-of-order queue where ONLY wait-list edges order the
-// commands, many times. If any edge is violated, increments race and
-// the final count diverges.
+// stepSrc records, in done[self], whether every wait-list predecessor
+// (the non-negative indices a, b, c) had already run when this command
+// ran: 1 if so, 2 if one had not.
+const stepSrc = `
+kernel void step(global int* done, int self, int a, int b, int c)
+{
+    int ok = 1;
+    if (a >= 0) { if (done[a] == 0) ok = 0; }
+    if (b >= 0) { if (done[b] == 0) ok = 0; }
+    if (c >= 0) { if (done[c] == 0) ok = 0; }
+    done[self] = 2 - ok;
+}
+`
+
+// TestWaitListOrderingProperty enqueues randomized layered DAGs on an
+// out-of-order queue where ONLY wait-list edges order the commands,
+// many times. Each command checks at run time that all of its
+// predecessors have run; commands in the same layer are unordered and
+// may run concurrently, so each writes only its own cell.
 func TestWaitListOrderingProperty(t *testing.T) {
-	ctx, k := buildKernel(t, incSrc, "inc")
+	ctx, k := buildKernel(t, stepSrc, "step")
 	rng := rand.New(rand.NewSource(0xE7E47))
 	for round := 0; round < 20; round++ {
 		q := ctx.CreateOutOfOrderQueue()
-		b, err := ctx.CreateBuffer(4)
+		depth := 2 + rng.Intn(6)
+		width := 1 + rng.Intn(3)
+		b, err := ctx.CreateBuffer(int64(4 * depth * width))
 		if err != nil {
 			t.Fatal(err)
 		}
 		_ = k.SetArgBuffer(0, b)
-		_ = k.SetArgInt32(1, 1)
-		depth := 2 + rng.Intn(6)
-		width := 1 + rng.Intn(3)
 		// Layered DAG: every command in layer i waits on a random
 		// non-empty subset of layer i-1.
-		prev := []*Event{}
+		var prev []int
+		events := map[int]*Event{}
 		total := 0
 		for layer := 0; layer < depth; layer++ {
-			var cur []*Event
+			var cur []int
 			for w := 0; w < width; w++ {
-				var waits []*Event
+				var deps []int
 				for _, p := range prev {
 					if rng.Intn(2) == 0 {
-						waits = append(waits, p)
+						deps = append(deps, p)
 					}
 				}
-				if len(prev) > 0 && len(waits) == 0 {
-					waits = append(waits, prev[rng.Intn(len(prev))])
+				if len(prev) > 0 && len(deps) == 0 {
+					deps = append(deps, prev[rng.Intn(len(prev))])
+				}
+				idx := [3]int32{-1, -1, -1}
+				var waits []*Event
+				for i, d := range deps {
+					idx[i] = int32(d)
+					waits = append(waits, events[d])
+				}
+				_ = k.SetArgInt32(1, int32(total))
+				for i, d := range idx {
+					_ = k.SetArgInt32(2+i, d)
 				}
 				ev, err := q.EnqueueKernel(k, ND1(1, 1), waits...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				cur = append(cur, ev)
+				events[total] = ev
+				cur = append(cur, total)
 				total++
 			}
 			prev = cur
@@ -142,12 +168,14 @@ func TestWaitListOrderingProperty(t *testing.T) {
 		if err := q.Finish(); err != nil {
 			t.Fatal(err)
 		}
-		out := make([]byte, 4)
+		out := make([]byte, 4*total)
 		if err := q.EnqueueReadBuffer(b, 0, out); err != nil {
 			t.Fatal(err)
 		}
-		if got := int32(binary.LittleEndian.Uint32(out)); got != int32(total) {
-			t.Fatalf("round %d: count = %d, want %d (wait-list edges violated)", round, got, total)
+		for i := 0; i < total; i++ {
+			if got := int32(binary.LittleEndian.Uint32(out[4*i:])); got != 1 {
+				t.Fatalf("round %d: command %d recorded %d, want 1 (2: ran before a wait-list predecessor; 0: never ran)", round, i, got)
+			}
 		}
 		b.Release()
 	}

@@ -50,9 +50,6 @@ type MachinePool struct {
 	// own profiler is installed so hotness counts accumulate.
 	tier     *interp.TierController
 	nextMach int
-
-	workersOnce sync.Once
-	workers     *interp.WorkerPool
 }
 
 // maxPooledMachines bounds the idle machines retained per module; bursts
@@ -69,15 +66,6 @@ const (
 // NewMachinePool returns an empty pool.
 func NewMachinePool() *MachinePool {
 	return &MachinePool{free: make(map[*ir.Module][]*interp.Machine)}
-}
-
-// Workers returns the pool's persistent worker set (started on first
-// use): a long-lived group of goroutines that all VM launches on this
-// pool's machines borrow parallel group runners from, instead of
-// spawning up to GOMAXPROCS goroutines per launch.
-func (p *MachinePool) Workers() *interp.WorkerPool {
-	p.workersOnce.Do(func() { p.workers = interp.NewWorkerPool(0) })
-	return p.workers
 }
 
 // SetProfiler installs (or, with nil, removes) a VM execution profiler
@@ -130,9 +118,8 @@ func (p *MachinePool) seedLocked(m *interp.Machine) {
 }
 
 // Acquire returns a machine for the module, reusing an idle one when
-// available. Machines are seeded with the pool's persistent worker set.
+// available.
 func (p *MachinePool) Acquire(mod *ir.Module) *interp.Machine {
-	w := p.Workers()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	ms := p.free[mod]
@@ -148,7 +135,6 @@ func (p *MachinePool) Acquire(mod *ir.Module) *interp.Machine {
 		return m
 	}
 	m := interp.NewMachine(mod)
-	m.Workers = w
 	p.seedLocked(m)
 	m.Name = fmt.Sprintf("mach-%d", p.nextMach)
 	p.nextMach++

@@ -4,7 +4,11 @@ import (
 	"encoding/binary"
 	"math"
 	"testing"
+
+	"repro/internal/leakcheck"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 const vadd = `
 kernel void vadd(global const float* a, global const float* b, global float* c, int n)

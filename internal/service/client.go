@@ -174,10 +174,7 @@ func (c *Client) readLoop() {
 			}
 			c.mu.Lock()
 			pe := c.events[f.Req]
-			if pe != nil {
-				delete(c.events, f.Req)
-				delete(c.evIDs, pe.ev)
-			}
+			delete(c.events, f.Req)
 			c.mu.Unlock()
 			if pe == nil {
 				continue
@@ -190,6 +187,12 @@ func (c *Client) readLoop() {
 				}
 				pe.ev.Complete()
 			}
+			// Only a terminal mirror may leave evIDs: until then an
+			// enqueue that waits on it must still resolve its daemon
+			// id (which stays valid for the connection's lifetime).
+			c.mu.Lock()
+			delete(c.evIDs, pe.ev)
+			c.mu.Unlock()
 			continue
 		}
 		c.mu.Lock()

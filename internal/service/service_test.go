@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/accelos"
 	"repro/internal/cluster"
+	"repro/internal/leakcheck"
 	"repro/internal/opencl"
 	"repro/internal/parboil"
 	"repro/internal/telemetry"
@@ -45,7 +46,7 @@ func TestMain(m *testing.M) {
 		runTestDaemon(sock)
 		return
 	}
-	os.Exit(m.Run())
+	leakcheck.Main(m)
 }
 
 // runTestDaemon is the child-process mode: serve one runtime on the
@@ -1099,4 +1100,55 @@ func TestServiceDaemonRestart(t *testing.T) {
 	if final := d2.stop(t); final != "FINAL mem=0 active=0" {
 		t.Fatalf("replacement daemon final state %q", final)
 	}
+}
+
+// TestServiceWaitOnCompletingEvent races enqueues against the
+// completion of the event they wait on. A large read's completion
+// copies out of the shared mapping on the client's read loop; the
+// test keeps enqueueing small reads that wait on it until it is
+// terminal. An event that is finishing must stay resolvable to its
+// daemon-side id until it is terminal, or a dependent enqueued in that
+// window fails with "wait event was not produced by this client".
+func TestServiceWaitOnCompletingEvent(t *testing.T) {
+	d := startDaemon(t)
+	c, err := Dial(d.sock, "waitrace", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const big = 1 << 20
+	src, err := c.CreateBuffer(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := c.CreateBuffer(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigOut := make([]byte, big)
+	smallOut := make([]byte, 4)
+	var deps []*opencl.Event
+	for round := 0; round < 50; round++ {
+		ev, err := src.ReadAsync(0, bigOut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n < 256 && !ev.Status().Terminal(); n++ {
+			dep, err := small.ReadAsync(0, smallOut, ev)
+			if err != nil {
+				t.Fatalf("round %d: enqueue: %v", round, err)
+			}
+			deps = append(deps, dep)
+		}
+		if err := c.waitEvent(ev); err != nil {
+			t.Fatalf("round %d: read: %v", round, err)
+		}
+	}
+	c.Finish()
+	for i, dep := range deps {
+		if err := dep.Err(); err != nil {
+			t.Fatalf("dependent read %d of %d: %v", i, len(deps), err)
+		}
+	}
+	t.Logf("%d dependent reads", len(deps))
 }
