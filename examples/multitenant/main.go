@@ -54,20 +54,21 @@ func tenant(rt *accelos.Runtime, id int, wg *sync.WaitGroup, report chan<- strin
 	if err != nil {
 		log.Fatalf("tenant %d: %v", id, err)
 	}
-	// Each tenant allocates a sizeable buffer; combined they exceed
-	// device memory, so some tenants get paused until others finish.
+	data, err := app.CreateBuffer(n * 4)
+	if err != nil {
+		log.Fatalf("tenant %d: %v", id, err)
+	}
+	defer data.Release()
+	// Each tenant also allocates a sizeable buffer; combined they exceed
+	// device memory, so some tenants get paused until others finish. It
+	// is the tenant's last allocation: a paused tenant holds only its
+	// small data buffer, so it never blocks the peers it waits for.
 	big := rt.Ctx.GlobalMemBytes() / (tenants/2 + 1)
 	ballast, err := app.CreateBuffer(big)
 	if err != nil {
 		log.Fatalf("tenant %d: ballast: %v", id, err)
 	}
 	defer ballast.Release()
-
-	data, err := app.CreateBuffer(n * 4)
-	if err != nil {
-		log.Fatalf("tenant %d: %v", id, err)
-	}
-	defer data.Release()
 	host := make([]byte, n*4)
 	for i := 0; i < n; i++ {
 		binary.LittleEndian.PutUint32(host[i*4:], uint32(i+id))

@@ -577,8 +577,7 @@ func (rt *Runtime) abandon(rec *launchRec, err error, status string) {
 	rt.activeMu.Unlock()
 	rt.mon.KernelRetired(rec.started)
 	rec.stopWatchdog()
-	rec.ev.Fail(err)
-	rt.recordKernel(rec, status)
+	rt.settle(rec, err, status)
 }
 
 // admit hands a wait-released execution to a device: on a cluster
@@ -683,8 +682,7 @@ func (rt *Runtime) startLaunch(rec *launchRec) {
 	// or in a device run queue fails the execution before it binds.
 	if err := rec.releasedArg(); err != nil {
 		rt.retire(rec)
-		rec.ev.Fail(err)
-		rt.recordKernel(rec, "failed")
+		rt.settle(rec, err, "failed")
 		return
 	}
 	plat := rt.Plat
@@ -694,8 +692,7 @@ func (rt *Runtime) startLaunch(rec *launchRec) {
 	h, err := opencl.NewLaunchHandle(plat, rec.mod, rec.cl, rec.nd, rec.rtWords, 1, rec.rtWords[rtlib.RTChunk])
 	if err != nil {
 		rt.retire(rec)
-		rec.ev.Fail(err)
-		rt.recordKernel(rec, "failed")
+		rt.settle(rec, err, "failed")
 		return
 	}
 	rt.mu.Lock()
@@ -789,13 +786,11 @@ func (rt *Runtime) drive(rec *launchRec, h *opencl.LaunchHandle) {
 	}
 	rec.stopWatchdog()
 	rt.retire(rec)
+	status := "ok"
 	if lerr != nil {
-		rec.ev.Fail(lerr)
-		rt.recordKernel(rec, "failed")
-	} else {
-		rec.ev.Complete()
-		rt.recordKernel(rec, "ok")
+		status = "failed"
 	}
+	rt.settle(rec, lerr, status)
 }
 
 // devLabel renders the execution's device index for metric labels
@@ -823,20 +818,24 @@ func (rt *Runtime) recordSlice(rec *launchRec, mach string, slice int, start tim
 		telemetry.L("tenant", rec.app), telemetry.L("dev", rec.devLabel())).Observe(int64(d))
 }
 
-// recordKernel emits the execution's lifecycle telemetry once its event
-// is terminal: the root kernel span (enqueue→retire) with wait-list /
-// schedule / execute children derived from the event's profiling
-// stamps, the per-tenant latency histograms and kernel counter, and —
-// for successful kernels — the shared/alone sample feeding the live
-// §7.4 scorecard.
-func (rt *Runtime) recordKernel(rec *launchRec, status string) {
+// settle finishes the execution's event — completed when err is nil,
+// failed otherwise — and records its telemetry under status before any
+// waiter is released: an app returning from Wait already finds the
+// kernel in the trace, the registry and the scorecard.
+func (rt *Runtime) settle(rec *launchRec, err error, status string) {
+	rec.ev.Settle(err, func(p opencl.EventProfile) { rt.recordKernel(rec, status, p) })
+}
+
+// recordKernel emits the execution's lifecycle telemetry from its final
+// event profile p: the root kernel span (enqueue→retire) with wait-list
+// / schedule / execute children derived from the profiling stamps, the
+// per-tenant latency histograms and kernel counter, and — for
+// successful kernels — the shared/alone sample feeding the live §7.4
+// scorecard.
+func (rt *Runtime) recordKernel(rec *launchRec, status string, p opencl.EventProfile) {
 	tr, reg, sc := rt.tracer, rt.reg, rt.score
 	if tr == nil && reg == nil && sc == nil {
 		return
-	}
-	p, err := rec.ev.ProfilingInfo()
-	if err != nil {
-		return // event not terminal: nothing trustworthy to record
 	}
 	dev := rec.devLabel()
 	if tr != nil {

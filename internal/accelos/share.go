@@ -11,125 +11,14 @@ import (
 
 const inf = int64(1) << 62
 
-// PlanShares runs the paper's resource-sharing algorithm (§3) for K
-// concurrent kernel execution requests. For each kernel i with work-group
-// size w_i, local memory m_i and register demand r_i it computes
-//
-//	x_i = T/(K·w_i), y_i = L/(K·m_i), z_i = R/(K·r_i)
-//
-// takes min(x_i, y_i, z_i) physical work-groups, then greedily grows the
-// allocations round-robin until a device resource saturates (the
-// Diophantine solutions are conservative). Allocations are additionally
-// capped by the kernel's own virtual group count and by its occupancy
-// limit — extra physical groups past either cap could never run or would
-// find the queue empty.
-//
-// naive selects the untuned variant (one virtual group per scheduling
-// operation); the optimized variant uses the adaptive chunk recorded in
-// each KernelExec.
+// PlanShares runs the paper's resource-sharing algorithm (§3) with
+// equal shares: PlanWeighted with every kernel weighing 1.
 func PlanShares(dev *device.Platform, execs []*sim.KernelExec, naive bool) []*sim.Launch {
-	k := int64(len(execs))
-	if k == 0 {
-		// No requests: nothing to plan. Returning before any device
-		// access keeps PlanShares(nil, nil, naive) safe — callers probe
-		// an empty schedule without holding a device.
-		return nil
+	weights := make([]float64, len(execs))
+	for i := range weights {
+		weights[i] = 1
 	}
-	launches := make([]*sim.Launch, len(execs))
-	caps := make([]int64, len(execs))
-	fps := make([]device.Footprint, len(execs))
-
-	for i, ke := range execs {
-		fp := ke.TransFootprint()
-		fps[i] = fp
-		w := dev.RoundWarp(fp.Threads)
-
-		x := dev.TotalThreads() / (k * w)
-		y := inf
-		if fp.LocalBytes > 0 {
-			y = dev.TotalLocalMem() / (k * fp.LocalBytes)
-		}
-		z := inf
-		if fp.Regs > 0 {
-			z = dev.TotalRegs() / (k * fp.Regs)
-		}
-		n := min3(x, y, z)
-		if n < 1 {
-			n = 1
-		}
-		caps[i] = ke.NumWGs
-		if occ := dev.MaxConcurrentWGs(fp); occ < caps[i] {
-			caps[i] = occ
-		}
-		if caps[i] < 1 {
-			caps[i] = 1
-		}
-		if n > caps[i] {
-			n = caps[i]
-		}
-		chunk := ke.Chunk
-		if naive || chunk < 1 {
-			chunk = 1
-		}
-		// Keep several dequeues per worker so chunk-granularity tails
-		// stay small: a chunk near the per-worker share would serialize
-		// small grids.
-		if cap := ke.NumWGs / (n * 8); chunk > cap {
-			chunk = cap
-			if chunk < 1 {
-				chunk = 1
-			}
-		}
-		launches[i] = &sim.Launch{K: ke, PhysWGs: n, Chunk: chunk, FP: fp}
-	}
-
-	// Greedy growth until saturation.
-	fits := func() bool {
-		var th, lm, rg int64
-		for i, l := range launches {
-			th += l.PhysWGs * dev.RoundWarp(fps[i].Threads)
-			lm += l.PhysWGs * fps[i].LocalBytes
-			rg += l.PhysWGs * fps[i].Regs
-		}
-		return th <= dev.TotalThreads() && lm <= dev.TotalLocalMem() && rg <= dev.TotalRegs()
-	}
-	// Grow the kernel with the smallest thread share first, keeping the
-	// equal-share objective (min_i min_j |x_i·w_i − x_j·w_j|) while
-	// filling leftover capacity.
-	for {
-		best := -1
-		var bestThreads int64 = 1 << 62
-		for i, l := range launches {
-			if l.PhysWGs >= caps[i] {
-				continue
-			}
-			th := l.PhysWGs * dev.RoundWarp(fps[i].Threads)
-			if th < bestThreads {
-				best, bestThreads = i, th
-			}
-		}
-		if best < 0 {
-			break
-		}
-		launches[best].PhysWGs++
-		if !fits() {
-			launches[best].PhysWGs--
-			caps[best] = launches[best].PhysWGs // saturated: stop growing it
-			continue
-		}
-	}
-	return launches
-}
-
-func min3(a, b, c int64) int64 {
-	m := a
-	if b < m {
-		m = b
-	}
-	if c < m {
-		m = c
-	}
-	return m
+	return PlanWeighted(dev, execs, weights, naive)
 }
 
 // PlanSingle plans an isolated kernel execution under accelOS (used for
@@ -139,17 +28,36 @@ func PlanSingle(dev *device.Platform, ke *sim.KernelExec, naive bool) *sim.Launc
 	return PlanShares(dev, []*sim.KernelExec{ke}, naive)[0]
 }
 
-// PlanWeighted generalizes PlanShares to non-equal sharing ratios
-// (§2.2 of the paper: "this can easily be achieved by changing the
+// PlanWeighted runs the paper's resource-sharing algorithm (§3) for K
+// concurrent kernel execution requests, generalized to non-equal
+// sharing ratios (§2.2: "this can easily be achieved by changing the
 // sharing ratio", e.g. favouring a longer-running or more important
-// application). weights[i] is kernel i's share of the device; the
-// resource constraints become x_i = (w_i/Σw)·T/w_i etc.
+// application). weights[i] is kernel i's share of the device. For each
+// kernel i with work-group size w_i, local memory m_i, register demand
+// r_i and share f_i = weights[i]/Σweights it computes
+//
+//	x_i = f_i·T/w_i, y_i = f_i·L/m_i, z_i = f_i·R/r_i
+//
+// (with equal weights, the paper's x_i = T/(K·w_i), y_i = L/(K·m_i),
+// z_i = R/(K·r_i)), takes min(x_i, y_i, z_i) physical work-groups, then
+// greedily grows the allocations until a device resource saturates
+// (the Diophantine solutions are conservative). Allocations are
+// additionally capped by the kernel's own virtual group count and by
+// its occupancy limit — extra physical groups past either cap could
+// never run or would find the queue empty.
+//
+// naive selects the untuned variant (one virtual group per scheduling
+// operation); the optimized variant uses the adaptive chunk recorded in
+// each KernelExec.
 func PlanWeighted(dev *device.Platform, execs []*sim.KernelExec, weights []float64, naive bool) []*sim.Launch {
 	if len(weights) != len(execs) {
 		panic("accelos: PlanWeighted needs one weight per kernel")
 	}
 	if len(execs) == 0 {
-		return nil // nil-device safe, like PlanShares
+		// No requests: nothing to plan. Returning before any device
+		// access keeps PlanShares(nil, nil, naive) safe — callers probe
+		// an empty schedule without holding a device.
+		return nil
 	}
 	var sum float64
 	for _, w := range weights {
@@ -193,6 +101,9 @@ func PlanWeighted(dev *device.Platform, execs []*sim.KernelExec, weights []float
 		if naive || chunk < 1 {
 			chunk = 1
 		}
+		// Keep several dequeues per worker so chunk-granularity tails
+		// stay small: a chunk near the per-worker share would serialize
+		// small grids.
 		if cap := ke.NumWGs / (n * 8); chunk > cap {
 			chunk = cap
 			if chunk < 1 {
@@ -201,8 +112,7 @@ func PlanWeighted(dev *device.Platform, execs []*sim.KernelExec, weights []float
 		}
 		launches[i] = &sim.Launch{K: ke, PhysWGs: n, Chunk: chunk, FP: fp}
 	}
-	// Greedy growth, preferring the kernel furthest below its weighted
-	// thread share.
+	// Greedy growth until saturation.
 	fits := func() bool {
 		var th, lm, rg int64
 		for i, l := range launches {
@@ -212,6 +122,10 @@ func PlanWeighted(dev *device.Platform, execs []*sim.KernelExec, weights []float
 		}
 		return th <= dev.TotalThreads() && lm <= dev.TotalLocalMem() && rg <= dev.TotalRegs()
 	}
+	// Grow the kernel furthest below its weighted thread share first —
+	// with equal weights, the smallest thread share, keeping the
+	// equal-share objective (min_i min_j |x_i·w_i − x_j·w_j|) while
+	// filling leftover capacity.
 	for {
 		best := -1
 		bestGap := 0.0
@@ -232,13 +146,24 @@ func PlanWeighted(dev *device.Platform, execs []*sim.KernelExec, weights []float
 		launches[best].PhysWGs++
 		if !fits() {
 			launches[best].PhysWGs--
-			caps[best] = launches[best].PhysWGs
+			caps[best] = launches[best].PhysWGs // saturated: stop growing it
 		}
 	}
 	return launches
 }
 
-// PlanTenantShares extends PlanShares with per-tenant weights on one
+func min3(a, b, c int64) int64 {
+	m := a
+	if b < m {
+		m = b
+	}
+	if c < m {
+		m = c
+	}
+	return m
+}
+
+// PlanTenantShares extends PlanWeighted with per-tenant weights on one
 // device: kernels are grouped by tenant, the device is divided between
 // tenants in proportion to weights (absent tenants weigh 1), and each
 // tenant's slice is split equally among its kernels. tenants[i] names

@@ -58,101 +58,6 @@ func typedRuntimeFault(err error) bool {
 		errors.Is(err, opencl.ErrBufferReleased)
 }
 
-// runParboilViaApp replays one kernel's verification launch through the
-// in-process App API — uploads behind events, kernel behind the
-// uploads, read-backs behind the kernel — and compares every buffer
-// against the native reference.
-func runParboilViaApp(app *accelos.App, k *parboil.Kernel, native [][]byte) error {
-	prog, err := app.CreateProgram(k.Source)
-	if err != nil {
-		return fmt.Errorf("%s: program: %w", k.FullName(), err)
-	}
-	kh, err := prog.CreateKernel(k.Name)
-	if err != nil {
-		return fmt.Errorf("%s: kernel: %w", k.FullName(), err)
-	}
-	spec := k.Setup()
-	bufs := make([]*accelos.BufferHandle, len(spec.Args))
-	defer func() {
-		for _, b := range bufs {
-			if b != nil {
-				b.Release()
-			}
-		}
-	}()
-	var uploads []*opencl.Event
-	for i, a := range spec.Args {
-		if a.Scalar != nil {
-			if err := kh.SetArgInt32(i, int32(*a.Scalar)); err != nil {
-				return err
-			}
-			continue
-		}
-		host := parboil.EncodeArg(a)
-		if host == nil {
-			return fmt.Errorf("%s: argument %q has no value", k.FullName(), a.Name)
-		}
-		b, err := app.CreateBuffer(int64(len(host)))
-		if err != nil {
-			return fmt.Errorf("%s: buffer %q: %w", k.FullName(), a.Name, err)
-		}
-		bufs[i] = b
-		ev, err := b.WriteAsync(0, host)
-		if err != nil {
-			return fmt.Errorf("%s: write %q: %w", k.FullName(), a.Name, err)
-		}
-		uploads = append(uploads, ev)
-		if err := kh.SetArgBuffer(i, b); err != nil {
-			return err
-		}
-	}
-	nd := opencl.NDRange{Dims: spec.Dims, Global: spec.Global, Local: spec.Local}
-	kev, err := app.EnqueueKernelAsync(kh, nd, uploads...)
-	if err != nil {
-		return fmt.Errorf("%s: enqueue: %w", k.FullName(), err)
-	}
-	outs := make([][]byte, len(spec.Args))
-	var reads []*opencl.Event
-	for i, b := range bufs {
-		if b == nil {
-			continue
-		}
-		outs[i] = make([]byte, len(native[i]))
-		ev, err := b.ReadAsync(0, outs[i], kev)
-		if err != nil {
-			return fmt.Errorf("%s: read %q: %w", k.FullName(), spec.Args[i].Name, err)
-		}
-		reads = append(reads, ev)
-	}
-	for _, ev := range reads {
-		if err := ev.Wait(); err != nil {
-			return fmt.Errorf("%s: pipeline: %w", k.FullName(), err)
-		}
-	}
-	for i := range spec.Args {
-		if outs[i] == nil {
-			continue
-		}
-		if !bytesEqual(native[i], outs[i]) {
-			return fmt.Errorf("%s: buffer %d (%s) differs from the native reference",
-				k.FullName(), i, spec.Args[i].Name)
-		}
-	}
-	return nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // waitUntil polls cond to true within the deadline.
 func waitUntil(what string, d time.Duration, cond func() bool) error {
 	deadline := time.Now().Add(d)
@@ -243,7 +148,15 @@ func RunChaosRuntime(seed int64, w io.Writer) (*ChaosReport, error) {
 			app := rt.Connect(fmt.Sprintf("chaos-%d", tnt))
 			defer app.Close()
 			for i := tnt; i < len(kernels); i += chaosTenants {
-				err := runParboilViaApp(app, kernels[i], natives[i])
+				k := kernels[i]
+				var kh *accelos.KernelHandle
+				prog, err := app.CreateProgram(k.Source)
+				if err == nil {
+					kh, err = prog.CreateKernel(k.Name)
+				}
+				if err == nil {
+					err = parboil.RunChain(app, kh, k, natives[i])
+				}
 				mu.Lock()
 				rep.Chains++
 				switch {
@@ -366,86 +279,6 @@ func retryableChaos(err error) bool {
 	return service.Retryable(err) || errors.Is(err, fault.ErrInjected)
 }
 
-// runParboilViaClient is runParboilViaApp over the service boundary.
-func runParboilViaClient(c *service.Client, k *parboil.Kernel, native [][]byte) error {
-	prog, err := c.CreateProgram(k.Source)
-	if err != nil {
-		return fmt.Errorf("%s: program: %w", k.FullName(), err)
-	}
-	rk, err := prog.CreateKernel(k.Name)
-	if err != nil {
-		return fmt.Errorf("%s: kernel: %w", k.FullName(), err)
-	}
-	spec := k.Setup()
-	bufs := make([]*service.RemoteBuffer, len(spec.Args))
-	defer func() {
-		for _, b := range bufs {
-			if b != nil {
-				b.Release()
-			}
-		}
-	}()
-	var uploads []*opencl.Event
-	for i, a := range spec.Args {
-		if a.Scalar != nil {
-			if err := rk.SetArgInt32(i, int32(*a.Scalar)); err != nil {
-				return err
-			}
-			continue
-		}
-		host := parboil.EncodeArg(a)
-		if host == nil {
-			return fmt.Errorf("%s: argument %q has no value", k.FullName(), a.Name)
-		}
-		b, err := c.CreateBuffer(int64(len(host)))
-		if err != nil {
-			return fmt.Errorf("%s: buffer %q: %w", k.FullName(), a.Name, err)
-		}
-		bufs[i] = b
-		ev, err := b.WriteAsync(0, host)
-		if err != nil {
-			return fmt.Errorf("%s: write %q: %w", k.FullName(), a.Name, err)
-		}
-		uploads = append(uploads, ev)
-		if err := rk.SetArgBuffer(i, b); err != nil {
-			return err
-		}
-	}
-	nd := opencl.NDRange{Dims: spec.Dims, Global: spec.Global, Local: spec.Local}
-	kev, err := c.EnqueueKernelAsync(rk, nd, uploads...)
-	if err != nil {
-		return fmt.Errorf("%s: enqueue: %w", k.FullName(), err)
-	}
-	outs := make([][]byte, len(spec.Args))
-	var reads []*opencl.Event
-	for i, b := range bufs {
-		if b == nil {
-			continue
-		}
-		outs[i] = make([]byte, len(native[i]))
-		ev, err := b.ReadAsync(0, outs[i], kev)
-		if err != nil {
-			return fmt.Errorf("%s: read %q: %w", k.FullName(), spec.Args[i].Name, err)
-		}
-		reads = append(reads, ev)
-	}
-	for _, ev := range reads {
-		if err := ev.Wait(); err != nil {
-			return fmt.Errorf("%s: pipeline: %w", k.FullName(), err)
-		}
-	}
-	for i := range spec.Args {
-		if outs[i] == nil {
-			continue
-		}
-		if !bytesEqual(native[i], outs[i]) {
-			return fmt.Errorf("%s: buffer %d (%s) differs from the native reference",
-				k.FullName(), i, spec.Args[i].Name)
-		}
-	}
-	return nil
-}
-
 // RunChaosService is chaos phase B: the same Parboil workload driven
 // through service clients against a CLEAN daemon at sock (the daemon
 // must run in another process — transport injection is installed in
@@ -493,7 +326,16 @@ func RunChaosService(sock string, seed int64, w io.Writer) (*ChaosReport, error)
 						Metrics:    reg,
 					})
 					if chainErr == nil {
-						chainErr = runParboilViaClient(c, kernels[i], natives[i])
+						k := kernels[i]
+						var prog *service.RemoteProgram
+						var rk *service.RemoteKernel
+						prog, chainErr = c.CreateProgram(k.Source)
+						if chainErr == nil {
+							rk, chainErr = prog.CreateKernel(k.Name)
+						}
+						if chainErr == nil {
+							chainErr = parboil.RunChain(c, rk, k, natives[i])
+						}
 						if chainErr != nil && retryableChaos(chainErr) {
 							c.CountRetry()
 						}

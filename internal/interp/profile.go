@@ -11,11 +11,10 @@ import (
 // This file is the VM execution-profile collector: optional per-opcode
 // and per-block dynamic frequencies plus per-kernel instruction, barrier
 // and fault totals — the measurement layer tiered (profile-guided)
-// execution needs. Profiling is sampled at work-group granularity: a
-// profiled group runs a separate dispatch loop (vm_profile.go) with
-// counting hooks, every other group runs the unmodified hot loop, so the
-// overhead scales with 1/SampleEvery instead of with the counting cost.
-// Faults are counted on every group, sampled or not.
+// execution needs. Profiling is sampled at work-group granularity: the
+// dispatch loops enable their counting hooks only in sampled groups, so
+// the overhead scales with 1/SampleEvery instead of with the counting
+// cost. Faults are counted on every group, sampled or not.
 
 // numOps sizes per-opcode count tables (opBinCmpJump is the last opcode).
 const numOps = int(opBinCmpJump) + 1
@@ -64,7 +63,7 @@ var opNames = [numOps]string{
 }
 
 // defaultSampleEvery is the sampling period when ProfileOptions leaves
-// it zero: one work-group in 64 runs the counting loop, which keeps the
+// it zero: one work-group in 64 runs with counting enabled, which keeps the
 // overhead on dispatch-bound benchmarks well under the 3% CI budget.
 const defaultSampleEvery = 64
 
@@ -137,8 +136,8 @@ type KernelProfile struct {
 	blocks        map[*compiledFn][]int64
 }
 
-// groupProfile is the per-sampled-group scratch the profiled dispatch
-// loop counts into — plain non-atomic fields owned by one worker, merged
+// groupProfile is the per-sampled-group scratch the dispatch loops
+// count into — plain non-atomic fields owned by one worker, merged
 // into the KernelProfile when the group retires.
 type groupProfile struct {
 	perOp    bool
@@ -246,7 +245,7 @@ type KernelProfileSnapshot struct {
 	Kernel      string
 	SampleEvery int64
 	Groups      int64         // work-groups executed (sampled or not)
-	Sampled     int64         // work-groups that ran the counting loop
+	Sampled     int64         // work-groups that ran with counting enabled
 	Instrs      int64         // instructions in sampled groups
 	Barriers    int64         // barrier suspensions in sampled groups
 	Faults      int64         // faulting groups (counted unsampled)

@@ -2,9 +2,11 @@ package interp
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/clc"
 	"repro/internal/ir"
 )
 
@@ -49,10 +51,9 @@ func runProf(t *testing.T, prof *Profiler) []int32 {
 	return out.ReadInt32s(0, n)
 }
 
-// TestProfiledExecutionParity holds the profiled dispatch loop
-// byte-identical to the unprofiled one (SampleEvery=1 sends every group
-// through the counting twin) and checks the collected counts are
-// plausible and complete.
+// TestProfiledExecutionParity holds profiled execution byte-identical
+// to unprofiled execution (SampleEvery=1 enables counting in every
+// group) and checks the collected counts are plausible and complete.
 func TestProfiledExecutionParity(t *testing.T) {
 	ref := runProf(t, nil)
 	prof := NewProfiler(ProfileOptions{PerOpcode: true, PerBlock: true, SampleEvery: 1})
@@ -158,5 +159,156 @@ kernel void oops(global int* out) { out[get_global_id(0)] = out[0] / (int)get_gl
 	}
 	if s.Sampled != 0 {
 		t.Fatalf("sampled = %d, want 0", s.Sampled)
+	}
+}
+
+// callLoopSrc runs a call inside a loop whose callee loops and branches
+// itself, with a barrier in the caller's loop: block entries on call
+// entry, on jumps inside the callee and on back edges all count.
+const callLoopSrc = `
+int tri(int n)
+{
+    int s = 0;
+    int k;
+    for (k = 0; k <= n; ++k) {
+        if (k % 3 == 0)
+            s += k;
+        else
+            s -= 1;
+    }
+    return s;
+}
+
+kernel void calls(global const int* in, global int* out)
+{
+    int i = (int)get_global_id(0);
+    int acc = 0;
+    int r;
+    for (r = 0; r < 3; ++r) {
+        acc += tri((in[i] + r) & 7);
+        barrier(1);
+    }
+    out[i] = acc;
+}
+`
+
+// profileDigest renders the exact counts of one kernel profile.
+func profileDigest(s KernelProfileSnapshot) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "instrs=%d barriers=%d\n", s.Instrs, s.Barriers)
+	for _, oc := range s.Opcodes {
+		fmt.Fprintf(&b, "op %s=%d\n", oc.Name, oc.Count)
+	}
+	for _, bc := range s.Blocks {
+		fmt.Fprintf(&b, "block %s/%s=%d\n", bc.Fn, bc.Block, bc.Hits)
+	}
+	return b.String()
+}
+
+// profGolden and callsGolden are the exact fully sampled profiles of
+// profSrc and callLoopSrc over 256 items in groups of 32. Counts are
+// engine-invariant: the warp loop attributes one count per live lane.
+const profGolden = `instrs=44544 barriers=256
+op add.i32=17280
+op cast=5504
+op jump=4736
+op cmp+jump=4736
+op bin=4480
+op gep+load=4480
+op move=640
+op store=512
+op gep=512
+op wi=512
+op ret=384
+op alloca.local=256
+op barrier=256
+op call=128
+op mul.i32=128
+block prof/for.cond1=4480
+block prof/for.body2=4224
+block prof/entry0=256
+block prof/for.end4=256
+block prof/if.end6=256
+block helper/entry0=128
+block prof/(edge-copies)=128
+block prof/if.then5=128
+`
+
+const callsGolden = `instrs=38398 barriers=768
+op cmp+jump=9252
+op add.i32=7566
+op move=5778
+op bin=3730
+op jump=3730
+op sub.i32=2198
+op cast=1280
+op ret=1024
+op barrier=768
+op call=768
+op gep+load=768
+op and.i32=768
+op store=256
+op gep=256
+op wi=256
+block tri/for.body2=3730
+block tri/if.end6=3730
+block tri/if.else7=2198
+block tri/if.then5=1532
+block calls/for.body2=768
+block tri/entry0=768
+block tri/for.end4=768
+block calls/entry0=256
+block calls/for.end4=256
+`
+
+// TestProfileGoldenCounts pins the exact counts a fully sampled profile
+// collects — instructions, barriers, per-opcode and per-block — on the
+// scalar dispatch loop and on the warp loop (whose divergence spills
+// run the scalar loop). Plausibility checks alone would not notice a
+// dropped block-entry or barrier hook.
+func TestProfileGoldenCounts(t *testing.T) {
+	cases := []struct {
+		name, src, kernel string
+		warp              int
+		want              string
+	}{
+		{"prof/scalar", profSrc, "prof", 0, profGolden},
+		{"prof/warp", profSrc, "prof", DefaultWarpWidth, profGolden},
+		{"calls/scalar", callLoopSrc, "calls", 0, callsGolden},
+		{"calls/warp", callLoopSrc, "calls", DefaultWarpWidth, callsGolden},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mod, err := clc.Compile(tc.src, "test")
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			m := NewMachine(mod)
+			m.UseProgram(CompileModuleOpts(mod, CompileOpts{Opt: true, WarpWidth: tc.warp}))
+			prof := NewProfiler(ProfileOptions{PerOpcode: true, PerBlock: true, SampleEvery: 1})
+			m.Profiler = prof
+			const n, wg = 256, 32
+			in := m.NewRegion(n*4, ir.Global)
+			out := m.NewRegion(n*4, ir.Global)
+			iv := make([]int32, n)
+			for i := range iv {
+				iv[i] = int32(i%13 - 6)
+			}
+			in.WriteInt32s(0, iv)
+			args := []Value{{K: ir.Pointer, P: Ptr{R: in}}, {K: ir.Pointer, P: Ptr{R: out}}}
+			if err := m.Launch(tc.kernel, args, ND1(n, wg)); err != nil {
+				t.Fatalf("launch: %v", err)
+			}
+			snaps := prof.Snapshot()
+			if len(snaps) != 1 {
+				t.Fatalf("snapshot = %+v, want one kernel", snaps)
+			}
+			if warped := snaps[0].Warps > 0; warped != (tc.warp > 0) {
+				t.Fatalf("warps formed = %d at WarpWidth %d", snaps[0].Warps, tc.warp)
+			}
+			if got := profileDigest(snaps[0]); got != tc.want {
+				t.Errorf("profile counts changed:\n got:\n%s\nwant:\n%s", got, tc.want)
+			}
+		})
 	}
 }

@@ -106,7 +106,7 @@ type vmGroup struct {
 	ar     *arena
 
 	// prof is non-nil when this group was sampled for execution
-	// profiling: exec defers to the counting loop in vm_profile.go.
+	// profiling: the dispatch loops count into it.
 	prof *groupProfile
 
 	// faultWI is the work-item a warp-mode fault is attributed to
@@ -456,14 +456,11 @@ func (g *vmGroup) resume(wi *wiState) (err error) {
 }
 
 // exec is the dispatch loop. It caches the top frame in locals and only
-// touches the frame stack on call, return and barrier. Sampled groups
-// divert to the counting twin in vm_profile.go here — one branch per
-// resume, not per instruction, so the unprofiled hot loop is untouched.
+// touches the frame stack on call, return and barrier. In sampled groups
+// (gp non-nil) it also counts instructions, opcodes, block entries at
+// every control transfer, and barriers.
 func (g *vmGroup) exec(wi *wiState) {
-	if g.prof != nil {
-		g.execProf(wi)
-		return
-	}
+	gp := g.prof
 	l := g.l
 	m := l.m
 	top := len(wi.frames) - 1
@@ -473,10 +470,22 @@ func (g *vmGroup) exec(wi *wiState) {
 	pc := wi.frames[top].pc
 	steps := wi.steps
 
+	if pc == 0 && gp != nil && gp.perBlock {
+		// Fresh kernel-frame entry (barrier resumes restart mid-block and
+		// are not block entries).
+		gp.enterBlock(cf, 0)
+	}
+
 	for {
 		in := &code[pc]
 		pc++
 		steps++
+		if gp != nil {
+			gp.instrs++
+			if gp.perOp {
+				gp.opcodes[in.op]++
+			}
+		}
 		if steps >= stepBatch {
 			l.addSteps(steps)
 			steps = 0
@@ -546,6 +555,9 @@ func (g *vmGroup) exec(wi *wiState) {
 			} else {
 				pc = int32(in.imm)
 			}
+			if gp != nil && gp.perBlock {
+				gp.enterBlock(cf, pc)
+			}
 		case opBinBin:
 			t := i32Bin(ir.BinKind(in.sub), regs[in.a].I, regs[in.b].I)
 			var r int64
@@ -568,6 +580,9 @@ func (g *vmGroup) exec(wi *wiState) {
 				pc = in.c
 			} else {
 				pc = int32(in.imm)
+			}
+			if gp != nil && gp.perBlock {
+				gp.enterBlock(cf, pc)
 			}
 		case opBinStore:
 			m.store(kindTypes[in.kind], binOp(ir.BinKind(in.sub), kindTypes[in.kind], regs[in.a], regs[in.b]), regs[in.c].P)
@@ -602,6 +617,9 @@ func (g *vmGroup) exec(wi *wiState) {
 		case opAtomic:
 			regs[in.dst] = m.atomicRMW(ir.AtomicKind(in.sub), kindTypes[in.kind], regs[in.a].P, regs[in.b])
 		case opBarrier:
+			if gp != nil {
+				gp.barriers++
+			}
 			wi.frames[top].pc = pc
 			wi.status = wiBarrier
 			wi.steps = steps
@@ -620,6 +638,9 @@ func (g *vmGroup) exec(wi *wiState) {
 			wi.frames = append(wi.frames, vmFrame{cf: callee, regp: cregp, pc: 0, dst: in.dst})
 			top++
 			cf, code, regs, pc = callee, callee.code, cregs, 0
+			if gp != nil && gp.perBlock {
+				gp.enterBlock(cf, 0)
+			}
 		case opWI:
 			dim := in.imm
 			if in.a >= 0 {
@@ -657,11 +678,17 @@ func (g *vmGroup) exec(wi *wiState) {
 			regs[in.dst] = evalMath(in.sub, in.kind, x, y)
 		case opJump:
 			pc = int32(in.imm)
+			if gp != nil && gp.perBlock {
+				gp.enterBlock(cf, pc)
+			}
 		case opCondJump:
 			if regs[in.a].Bool() {
 				pc = in.b
 			} else {
 				pc = in.c
+			}
+			if gp != nil && gp.perBlock {
+				gp.enterBlock(cf, pc)
 			}
 		case opRet:
 			var rv Value

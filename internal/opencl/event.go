@@ -252,12 +252,17 @@ func (e *Event) ProfilingInfo() (EventProfile, error) {
 	if !e.status.Terminal() {
 		return EventProfile{}, ErrProfilingNotAvailable
 	}
+	return e.profile(), nil
+}
+
+// profile reads the transition stamps; e.mu must be held.
+func (e *Event) profile() EventProfile {
 	return EventProfile{
 		Queued:    e.times[EventQueued],
 		Submitted: e.times[EventSubmitted],
 		Running:   e.times[EventRunning],
 		Complete:  e.times[EventComplete],
-	}, nil
+	}
 }
 
 // MarkSubmitted records that the command left its queue for the runtime.
@@ -270,8 +275,9 @@ func (e *Event) MarkRunning() { e.transition(EventRunning) }
 
 // finish completes the event exactly once: later calls are no-ops, so a
 // dependency-failure propagation and a command body racing to finish the
-// same event resolve deterministically to whichever lands first.
-func (e *Event) finish(err error) {
+// same event resolve deterministically to whichever lands first. record,
+// if non-nil, runs with the final profile before waiters are released.
+func (e *Event) finish(err error, record func(EventProfile)) {
 	e.mu.Lock()
 	if e.status.Terminal() {
 		e.mu.Unlock()
@@ -283,10 +289,14 @@ func (e *Event) finish(err error) {
 		e.status = EventComplete
 	}
 	e.times[EventComplete] = time.Now()
+	p := e.profile()
 	cbs := e.cbs
 	e.cbs = nil
 	e.deps = nil // completed events cannot take part in cycles
 	e.mu.Unlock()
+	if record != nil {
+		record(p)
+	}
 	close(e.done)
 	for _, fn := range cbs {
 		fn(e)
@@ -296,7 +306,7 @@ func (e *Event) finish(err error) {
 // Complete marks the event successful. Producer-side API: valid on user
 // and controlled events (queue-owned events are completed by their
 // command). No-op if already terminal.
-func (e *Event) Complete() { e.finish(nil) }
+func (e *Event) Complete() { e.finish(nil, nil) }
 
 // Fail marks the event failed with the given cause. Producer-side API;
 // no-op if already terminal.
@@ -304,8 +314,15 @@ func (e *Event) Fail(err error) {
 	if err == nil {
 		err = fmt.Errorf("opencl: event failed")
 	}
-	e.finish(err)
+	e.finish(err, nil)
 }
+
+// Settle is Complete (err nil) or Fail (err non-nil) for producers that
+// publish what the completion implies: if this call finishes the event,
+// record runs with its final profile before Wait returns and before any
+// OnComplete callback runs, so no waiter observes the completion ahead
+// of the record.
+func (e *Event) Settle(err error, record func(EventProfile)) { e.finish(err, record) }
 
 // CompleteWhen chains this (user or controlled) event to a wait list: it
 // completes when every listed event completes, or fails with the first
@@ -323,7 +340,7 @@ func (e *Event) CompleteWhen(waits ...*Event) {
 	chainMu.Lock()
 	if reaches(ws, e) {
 		chainMu.Unlock()
-		e.finish(ErrCyclicWaitList)
+		e.finish(ErrCyclicWaitList, nil)
 		return
 	}
 	e.mu.Lock()
@@ -332,7 +349,7 @@ func (e *Event) CompleteWhen(waits ...*Event) {
 	}
 	e.mu.Unlock()
 	chainMu.Unlock()
-	WhenAll(ws, func(err error) { e.finish(err) })
+	WhenAll(ws, func(err error) { e.finish(err, nil) })
 }
 
 // chainMu serializes CompleteWhen edge additions — the one way

@@ -65,6 +65,36 @@ func TestEventLifecycleAndCallbacks(t *testing.T) {
 	}
 }
 
+// TestEventSettleRecordsBeforeRelease checks Settle's ordering: the
+// record hook sees the final profile before any waiter is released or
+// callback runs, and settling a finished event records nothing.
+func TestEventSettleRecordsBeforeRelease(t *testing.T) {
+	for _, cause := range []error{nil, errors.New("boom")} {
+		ev := NewUserEvent()
+		recorded := false
+		ev.OnComplete(func(*Event) {
+			if !recorded {
+				t.Errorf("cause %v: callback ran before the record hook", cause)
+			}
+		})
+		ev.Settle(cause, func(p EventProfile) {
+			select {
+			case <-ev.done:
+				t.Errorf("cause %v: waiters released before the record hook", cause)
+			default:
+			}
+			if p.Queued.IsZero() || p.Complete.Before(p.Queued) {
+				t.Errorf("cause %v: record saw profile %+v", cause, p)
+			}
+			recorded = true
+		})
+		if err := ev.Wait(); !errors.Is(err, cause) {
+			t.Errorf("Wait = %v, want %v", err, cause)
+		}
+		ev.Settle(nil, func(EventProfile) { t.Errorf("cause %v: record ran on a finished event", cause) })
+	}
+}
+
 func TestUserEventGatesCommand(t *testing.T) {
 	ctx, k := buildKernel(t, incSrc, "inc")
 	q := ctx.CreateOutOfOrderQueue()

@@ -149,7 +149,7 @@ func (q *CommandQueue) enqueue(what, op string, nbytes int, bufs []*Buffer, wait
 
 	WhenAll(deps, func(depErr error) {
 		if depErr != nil {
-			ev.finish(fmt.Errorf("%s: wait-list dependency failed: %w", what, depErr))
+			ev.finish(fmt.Errorf("%s: wait-list dependency failed: %w", what, depErr), nil)
 			return
 		}
 		ev.transition(EventSubmitted)
@@ -158,7 +158,7 @@ func (q *CommandQueue) enqueue(what, op string, nbytes int, bufs []*Buffer, wait
 			// the command instead of touching freed memory.
 			for _, b := range pinned {
 				if b.Released() {
-					ev.finish(fmt.Errorf("%s: %w", what, ErrBufferReleased))
+					ev.finish(fmt.Errorf("%s: %w", what, ErrBufferReleased), nil)
 					return
 				}
 			}
@@ -167,7 +167,7 @@ func (q *CommandQueue) enqueue(what, op string, nbytes int, bufs []*Buffer, wait
 			if err != nil {
 				err = fmt.Errorf("%s: %w", what, err)
 			}
-			ev.finish(err)
+			ev.finish(err, nil)
 		}()
 	})
 	return ev, nil

@@ -13,7 +13,6 @@ package service
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -385,89 +384,6 @@ func parboilNatives(t *testing.T) [][][]byte {
 	return parboilRef
 }
 
-// runParboilViaService replays a kernel's verification launch through
-// the service boundary — uploads behind events, kernel behind the
-// uploads, read-backs behind the kernel — and compares every buffer
-// byte for byte against the in-process native reference.
-func runParboilViaService(c *Client, k *parboil.Kernel, native [][]byte) error {
-	prog, err := c.CreateProgram(k.Source)
-	if err != nil {
-		return fmt.Errorf("%s: program: %w", k.FullName(), err)
-	}
-	rk, err := prog.CreateKernel(k.Name)
-	if err != nil {
-		return fmt.Errorf("%s: kernel: %w", k.FullName(), err)
-	}
-	spec := k.Setup()
-	bufs := make([]*RemoteBuffer, len(spec.Args))
-	defer func() {
-		for _, b := range bufs {
-			if b != nil {
-				b.Release()
-			}
-		}
-	}()
-	var uploads []*opencl.Event
-	for i, a := range spec.Args {
-		if a.Scalar != nil {
-			if err := rk.SetArgInt32(i, int32(*a.Scalar)); err != nil {
-				return err
-			}
-			continue
-		}
-		host := parboil.EncodeArg(a)
-		if host == nil {
-			return fmt.Errorf("%s: argument %q has no value", k.FullName(), a.Name)
-		}
-		b, err := c.CreateBuffer(int64(len(host)))
-		if err != nil {
-			return fmt.Errorf("%s: buffer %q: %w", k.FullName(), a.Name, err)
-		}
-		bufs[i] = b
-		ev, err := b.WriteAsync(0, host)
-		if err != nil {
-			return fmt.Errorf("%s: write %q: %w", k.FullName(), a.Name, err)
-		}
-		uploads = append(uploads, ev)
-		if err := rk.SetArgBuffer(i, b); err != nil {
-			return err
-		}
-	}
-	nd := opencl.NDRange{Dims: spec.Dims, Global: spec.Global, Local: spec.Local}
-	kev, err := c.EnqueueKernelAsync(rk, nd, uploads...)
-	if err != nil {
-		return fmt.Errorf("%s: enqueue: %w", k.FullName(), err)
-	}
-	outs := make([][]byte, len(spec.Args))
-	var reads []*opencl.Event
-	for i, b := range bufs {
-		if b == nil {
-			continue
-		}
-		outs[i] = make([]byte, b.Size())
-		ev, err := b.ReadAsync(0, outs[i], kev)
-		if err != nil {
-			return fmt.Errorf("%s: read %q: %w", k.FullName(), spec.Args[i].Name, err)
-		}
-		reads = append(reads, ev)
-	}
-	for _, ev := range reads {
-		if err := ev.Wait(); err != nil {
-			return fmt.Errorf("%s: pipeline: %w", k.FullName(), err)
-		}
-	}
-	for i := range spec.Args {
-		if outs[i] == nil {
-			continue
-		}
-		if !bytes.Equal(native[i], outs[i]) {
-			return fmt.Errorf("%s: buffer %d (%s) differs between native and service execution",
-				k.FullName(), i, spec.Args[i].Name)
-		}
-	}
-	return nil
-}
-
 // TestServiceParboilParity splits all 25 Parboil kernels across 8
 // concurrent clients of one out-of-process daemon; every launch must
 // be byte-identical to the in-process native run.
@@ -490,7 +406,18 @@ func TestServiceParboilParity(t *testing.T) {
 			}
 			defer c.Close()
 			for i := w; i < len(kernels); i += nClients {
-				if err := runParboilViaService(c, kernels[i], natives[i]); err != nil {
+				k := kernels[i]
+				prog, err := c.CreateProgram(k.Source)
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				rk, err := prog.CreateKernel(k.Name)
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				if err := parboil.RunChain(c, rk, k, natives[i]); err != nil {
 					errs[w] = err
 					return
 				}
@@ -542,9 +469,18 @@ func TestServiceChurn64Clients(t *testing.T) {
 			}
 			defer c.Close()
 			ki := w % len(kernels)
-			if err := runParboilViaService(c, kernels[ki], natives[ki]); err != nil {
+			k := kernels[ki]
+			prog, err := c.CreateProgram(k.Source)
+			if err != nil {
 				errs[w] = err
+				return
 			}
+			rk, err := prog.CreateKernel(k.Name)
+			if err != nil {
+				errs[w] = err
+				return
+			}
+			errs[w] = parboil.RunChain(c, rk, k, natives[ki])
 		}(w)
 	}
 	wg.Wait()
