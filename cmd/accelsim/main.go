@@ -51,6 +51,7 @@ import (
 	"time"
 
 	"repro/internal/accelos"
+	"repro/internal/accelpass"
 	"repro/internal/clc"
 	"repro/internal/cluster"
 	"repro/internal/device"
@@ -88,8 +89,8 @@ func main() {
 	profile := flag.Bool("profile", false, "collect and dump sampled VM execution profiles for the live run")
 	tier := flag.Bool("tier", false, "live experiment: tiered execution — cheap tier-0 first launches, background hot-kernel recompilation (promotions reported)")
 	seed := flag.Int64("seed", 42, "chaos experiment: fault-injection RNG seed")
-	dumpIR := flag.String("dump-ir", "", "print a named Parboil kernel's IR before and after the O1 pipeline, then exit (e.g. -dump-ir sad/larger_sad_calc_8)")
-	disable := flag.String("disable-pass", "", "comma-separated O1 passes to skip with -dump-ir (mem2reg, constfold, dce, simplifycfg)")
+	dumpIR := flag.String("dump-ir", "", "print a named Parboil kernel's IR before and after the O1 pipeline, and its accelOS-transformed module after O1, then exit (e.g. -dump-ir sad/larger_sad_calc_8)")
+	disable := flag.String("disable-pass", "", "comma-separated O1 passes to skip with -dump-ir (mem2reg, constfold, dce, simplifycfg, inline)")
 	flag.Parse()
 
 	if *dumpIR != "" {
@@ -211,8 +212,10 @@ func main() {
 var schemes = []experiments.Scheme{experiments.Baseline, experiments.EK, experiments.AccelOS}
 
 // runDumpIR prints a kernel's IR before and after the VM's O1
-// optimization pipeline — the inspection tool for the per-pass disable
-// knob (skip a pass and diff the output to see what it contributed).
+// optimization pipeline, then the accelOS-transformed module after O1 —
+// the form the runtime's JIT executes — with instruction counts. It is
+// the inspection tool for the per-pass disable knob (skip a pass and
+// diff the output to see what it contributed).
 func runDumpIR(name, disable string) error {
 	k, err := parboil.ByName(name)
 	if err != nil {
@@ -234,14 +237,39 @@ func runDumpIR(name, disable string) error {
 	if err := passes.RunO1(opt, skip...); err != nil {
 		return fmt.Errorf("O1 pipeline: %w", err)
 	}
-	pipeline := "mem2reg + constfold + dce + simplifycfg"
-	if len(skip) > 0 {
-		pipeline += " minus " + strings.Join(skip, ",")
+	var ran []string
+	for _, p := range passes.O1(skip...).Passes {
+		ran = append(ran, p.Name())
 	}
+	pipeline := strings.Join(ran, " + ")
 	fmt.Printf("--- %s: post-pipeline IR (%s) ---\n\n", name, pipeline)
 	fmt.Println(opt.String())
 	pre, post := mod.Lookup(k.Name), opt.Lookup(k.Name)
-	fmt.Printf("kernel %s: %d -> %d instructions\n", k.Name, pre.NumInstrs(), post.NumInstrs())
+	fmt.Printf("kernel %s: %d -> %d instructions\n\n", k.Name, pre.NumInstrs(), post.NumInstrs())
+
+	trans := ir.CloneModule(mod)
+	if _, err := accelpass.Transform(trans); err != nil {
+		return err
+	}
+	topt := ir.CloneModule(trans)
+	if err := passes.RunO1(topt, skip...); err != nil {
+		return fmt.Errorf("O1 pipeline on the transformed module: %w", err)
+	}
+	fmt.Printf("--- %s: accelOS-transformed module after O1 (%s), as the JIT runs it ---\n\n", name, pipeline)
+	fmt.Println(topt.String())
+	count := func(m *ir.Module) (instrs, defs int) {
+		for _, f := range m.Funcs {
+			if !f.IsDecl() {
+				instrs += f.NumInstrs()
+				defs++
+			}
+		}
+		return instrs, defs
+	}
+	ti, td := count(trans)
+	oi, od := count(topt)
+	fmt.Printf("transformed module: %d -> %d instructions in %d -> %d defined functions; scheduling kernel %s: %d instructions\n",
+		ti, oi, td, od, k.Name, topt.Lookup(k.Name).NumInstrs())
 	return nil
 }
 

@@ -438,11 +438,12 @@ func (rt *Runtime) jitProgram(req *Request) error {
 	p.orig = orig
 	p.trans = res.Module
 	p.infos = res.Kernels
-	// Run the O1 optimization pipeline (mem2reg + constfold + dce +
-	// simplifycfg) over a clone of the transformed module and adopt it
-	// on success: the scheduling wrapper's dequeue loop and the
-	// computation function both shed their alloca traffic before any
-	// slice executes. The clone matters — the pipeline mutates
+	// Run the O1 optimization pipeline (passes.O1) over a clone of the
+	// transformed module and adopt it on success: the scheduling
+	// wrapper's dequeue loop and the computation function shed their
+	// alloca traffic, and the computation function and rt_* accessors
+	// are inlined into the wrapper, which then runs as one frame, before
+	// any slice executes. The clone matters — the pipeline mutates
 	// pass-by-pass, so a mid-pipeline failure must not leave the app's
 	// module half-transformed; on error the intact memory-form module
 	// stays in service.

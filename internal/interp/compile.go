@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,11 +22,13 @@ import (
 //
 // Two optimization layers sit in front of the lowering:
 //
-//   - the passes.O1 pipeline (mem2reg, constfold, dce, simplifycfg) runs
-//     over a private clone of the module, promoting scalar locals to SSA
+//   - the passes.O1 pipeline (mem2reg, constfold, dce, simplifycfg,
+//     inline, then constfold, dce, simplifycfg again) runs over a
+//     private clone of the module, promoting scalar locals to SSA
 //     values with phis — phis lower to register moves on the incoming
 //     edges (parallel-copy semantics, cycles broken through a per-frame
-//     scratch register), so promoted locals never touch memory;
+//     scratch register), so promoted locals never touch memory — and
+//     inlining kernels' calls so they run in one frame;
 //   - superinstruction fusion collapses the dominant adjacent pairs and
 //     triples — cmp+condbr, load+binop+store, binop+store and
 //     index-compute+load — into single dispatches when the intermediate
@@ -186,11 +189,6 @@ type compiledFn struct {
 	blockStarts []int32
 	blockNames  []string
 
-	// regPool recycles register files across frames and launches; files
-	// are cleared on Get so stale values (and the regions they pin) do
-	// not leak between activations.
-	regPool sync.Pool
-
 	// Warp execution tables (kernels compiled with WarpWidth > 0; nil
 	// otherwise). wmode holds one dispatch-mode byte per instruction;
 	// uniform marks the registers whose value is warp-invariant (their
@@ -204,29 +202,54 @@ type compiledFn struct {
 	reformPC    map[int32]bool
 }
 
-// getRegs returns a cleared register file with the constant tail
-// prefilled. The pooled pointer travels with the frame and goes back
-// verbatim in putRegs, so frame push/pop allocates nothing.
+// regPools recycle register files across frames, launches and
+// programs, one pool per power-of-two size class: class c holds files
+// of capacity 1<<c. Sharing by size rather than keeping a pool per
+// compiled function means a process that JITs many programs keeps one
+// warm set of files per class, not one per function.
+var regPools [bits.UintSize]sync.Pool
+
+// regClass returns the size class whose files hold n registers.
+func regClass(n int) int {
+	if n <= 1 {
+		return 0
+	}
+	return bits.Len(uint(n - 1))
+}
+
+// getRegs returns a register file of nregs slots from its size-class
+// pool, with [:nregs] cleared (stale values, and the regions they pin,
+// do not leak between activations) and the constant tail prefilled.
+// The pooled pointer travels with the frame and goes back verbatim in
+// putRegs, so frame push/pop allocates nothing once the pools are warm.
 func (cf *compiledFn) getRegs() *[]Value {
-	p := cf.regPool.Get().(*[]Value)
+	c := regClass(cf.nregs)
+	p, _ := regPools[c].Get().(*[]Value)
+	if p == nil {
+		s := make([]Value, 1<<c)
+		p = &s
+	}
+	*p = (*p)[:cf.nregs]
 	regs := *p
 	clear(regs)
 	copy(regs[cf.constBase:], cf.consts)
 	return p
 }
 
-func (cf *compiledFn) putRegs(p *[]Value) {
-	cf.regPool.Put(p)
+func putRegs(p *[]Value) {
+	regPools[regClass(cap(*p))].Put(p)
 }
 
 // CompileOpts controls bytecode compilation.
 type CompileOpts struct {
 	// Opt runs the passes.O1 pipeline (mem2reg, constfold, dce,
-	// simplifycfg) over a private clone of the module before lowering;
-	// the caller's module is never mutated.
+	// simplifycfg, then inline and a second constfold/dce/simplifycfg
+	// round) over a private clone of the module before lowering; the
+	// caller's module is never mutated.
 	Opt bool
 	// Disable names optimizations to skip: the O1 pass names
-	// ("mem2reg", "constfold", "dce", "simplifycfg") and "fuse" for
+	// ("mem2reg", "constfold", "dce", "simplifycfg", "inline"; a
+	// repeated pass is skipped at every position) and "fuse" for
 	// superinstruction fusion.
 	Disable []string
 	// WarpWidth enables warp-style batched execution: the work-items
@@ -661,11 +684,6 @@ func (p *Prog) compileFn(cf *compiledFn, fuse bool, guide *ProfileGuide, warpWid
 				cf.code[i].a = s
 			}
 		}
-	}
-	n := cf.nregs
-	cf.regPool.New = func() any {
-		s := make([]Value, n)
-		return &s
 	}
 }
 

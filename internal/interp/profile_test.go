@@ -261,21 +261,55 @@ block calls/entry0=256
 block calls/for.end4=256
 `
 
+// callsInlinedGolden is callsGolden with tri inlined: the 768 calls
+// and their 768 returns are gone, tri's entry block merges into the
+// caller's loop body, and its other blocks count under calls/.
+const callsInlinedGolden = `instrs=36862 barriers=768
+op cmp+jump=9252
+op add.i32=7566
+op move=5778
+op bin=3730
+op jump=3730
+op sub.i32=2198
+op cast=1280
+op barrier=768
+op gep+load=768
+op and.i32=768
+op store=256
+op gep=256
+op wi=256
+op ret=256
+block calls/for.body2.7=3730
+block calls/if.end6.10=3730
+block calls/if.else7.11=2198
+block calls/if.then5.9=1532
+block calls/for.body2=768
+block calls/for.end4.8=768
+block calls/entry0=256
+block calls/for.end4=256
+`
+
 // TestProfileGoldenCounts pins the exact counts a fully sampled profile
 // collects — instructions, barriers, per-opcode and per-block — on the
 // scalar dispatch loop and on the warp loop (whose divergence spills
 // run the scalar loop). Plausibility checks alone would not notice a
-// dropped block-entry or barrier hook.
+// dropped block-entry or barrier hook. The prof and calls cases compile
+// with inlining off so their calls stay calls and keep call-entry
+// counting pinned; calls/inlined pins the same kernel as O1 runs it,
+// one frame with the callee's blocks spliced in.
 func TestProfileGoldenCounts(t *testing.T) {
+	noInline := []string{"inline"}
 	cases := []struct {
 		name, src, kernel string
 		warp              int
+		disable           []string
 		want              string
 	}{
-		{"prof/scalar", profSrc, "prof", 0, profGolden},
-		{"prof/warp", profSrc, "prof", DefaultWarpWidth, profGolden},
-		{"calls/scalar", callLoopSrc, "calls", 0, callsGolden},
-		{"calls/warp", callLoopSrc, "calls", DefaultWarpWidth, callsGolden},
+		{"prof/scalar", profSrc, "prof", 0, noInline, profGolden},
+		{"prof/warp", profSrc, "prof", DefaultWarpWidth, noInline, profGolden},
+		{"calls/scalar", callLoopSrc, "calls", 0, noInline, callsGolden},
+		{"calls/warp", callLoopSrc, "calls", DefaultWarpWidth, noInline, callsGolden},
+		{"calls/inlined", callLoopSrc, "calls", 0, nil, callsInlinedGolden},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -284,7 +318,7 @@ func TestProfileGoldenCounts(t *testing.T) {
 				t.Fatalf("compile: %v", err)
 			}
 			m := NewMachine(mod)
-			m.UseProgram(CompileModuleOpts(mod, CompileOpts{Opt: true, WarpWidth: tc.warp}))
+			m.UseProgram(CompileModuleOpts(mod, CompileOpts{Opt: true, WarpWidth: tc.warp, Disable: tc.disable}))
 			prof := NewProfiler(ProfileOptions{PerOpcode: true, PerBlock: true, SampleEvery: 1})
 			m.Profiler = prof
 			const n, wg = 256, 32

@@ -20,9 +20,15 @@ import (
 //   - work-groups are independent by construction and run in parallel on
 //     a bounded worker pool, cutting goroutine count per launch from
 //     Global work-items to O(NumCPU);
-//   - per-frame register files, per-group local regions and per-item
-//     private allocas come from pools and bump arenas, so repeated
-//     sliced launches on pooled machines stop allocating per slice.
+//   - per-frame register files come from process-wide pools, one per
+//     power-of-two size class (getRegs), shared by every compiled
+//     function of every program; per-group local regions and per-item
+//     private allocas come from bump arenas, so repeated sliced
+//     launches on pooled machines stop allocating per slice;
+//   - O1 inlines every call a kernel makes to a defined, non-recursive
+//     function (passes.Inline), so a JIT-transformed kernel — its
+//     scheduling loop, computation function and rt_* accessors — runs
+//     in a single frame; the frame stack remains for recursion.
 //
 // Semantics are shared with the reference tree-walker (exec.go) through
 // the common binOp/cmpOp/castOp/evalMath/load/store helpers; the Parboil
@@ -432,7 +438,7 @@ func (g *vmGroup) release(gr *groupRunner) {
 	for i := range gr.items {
 		wi := &gr.items[i]
 		for f := range wi.frames {
-			wi.frames[f].cf.putRegs(wi.frames[f].regp)
+			putRegs(wi.frames[f].regp)
 			wi.frames[f] = vmFrame{}
 		}
 		wi.frames = wi.frames[:0]
@@ -695,7 +701,7 @@ func (g *vmGroup) exec(wi *wiState) {
 			if in.a >= 0 {
 				rv = regs[in.a]
 			}
-			cf.putRegs(wi.frames[top].regp)
+			putRegs(wi.frames[top].regp)
 			dst := wi.frames[top].dst
 			wi.frames[top] = vmFrame{}
 			wi.frames = wi.frames[:top]

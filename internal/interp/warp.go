@@ -111,7 +111,7 @@ func (l *launchCtx) runGroupWarp(gr *groupRunner, g *vmGroup, size, width int, a
 	}
 	defer func() {
 		for _, w := range warps {
-			kcf.putRegs(w.uregp)
+			putRegs(w.uregp)
 		}
 	}()
 	if gp := g.prof; gp != nil && gp.perBlock {
@@ -613,7 +613,7 @@ func (g *vmGroup) warpExec(w *warp) {
 
 		case wmRet:
 			for _, wi := range lanes {
-				cf.putRegs(wi.frames[0].regp)
+				putRegs(wi.frames[0].regp)
 				wi.frames[0] = vmFrame{}
 				wi.frames = wi.frames[:0]
 				wi.status = wiDone

@@ -1,9 +1,12 @@
 package parboil
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/accelpass"
 	"repro/internal/clc"
+	"repro/internal/ir"
 	"repro/internal/passes"
 )
 
@@ -209,6 +212,40 @@ func TestGoldenSplitSortSorts(t *testing.T) {
 				t.Fatalf("group %d not sorted at %d: %d < %d", g, i, cur, prev)
 			}
 			prev = cur
+		}
+	}
+}
+
+// TestJITShapeSingleFrame builds every kernel's module the way the
+// accelOS runtime's JIT does (accelpass.Transform, then passes.RunO1)
+// and checks the result runs as one frame: the scheduling kernel calls
+// no defined function, and no computation function or rt_* runtime
+// definition survives. An accelpass or rtlib change that defeats
+// inlining fails here instead of silently bringing the per-call frames
+// back.
+func TestJITShapeSingleFrame(t *testing.T) {
+	for _, k := range Kernels() {
+		mod, err := clc.Compile(k.Source, k.Name)
+		if err != nil {
+			t.Fatalf("%s: compile: %v", k.FullName(), err)
+		}
+		if _, err := accelpass.Transform(mod); err != nil {
+			t.Fatalf("%s: transform: %v", k.FullName(), err)
+		}
+		if err := passes.RunO1(mod); err != nil {
+			t.Fatalf("%s: O1: %v", k.FullName(), err)
+		}
+		for _, b := range mod.Lookup(k.Name).Blocks {
+			for _, in := range b.Instrs {
+				if f := mod.Lookup(in.Callee); in.Op == ir.OpCall && f != nil && !f.IsDecl() {
+					t.Errorf("%s: scheduling kernel still calls @%s", k.FullName(), in.Callee)
+				}
+			}
+		}
+		for _, f := range mod.Funcs {
+			if !f.IsDecl() && (strings.HasSuffix(f.Name, "__compute") || strings.HasPrefix(f.Name, "rt_")) {
+				t.Errorf("%s: definition @%s survived inlining", k.FullName(), f.Name)
+			}
 		}
 	}
 }

@@ -17,12 +17,11 @@ func (DCE) Run(m *ir.Module) error {
 			continue
 		}
 		removeUnreachable(f)
+		// One mark-and-sweep leaves nothing dead behind; only deleting
+		// dead alloca stores can kill the values they stored.
 		for {
-			changed := dceFunc(f)
-			if removeDeadAllocaStores(f) {
-				changed = true
-			}
-			if !changed {
+			dceFunc(f)
+			if !removeDeadAllocaStores(f) {
 				break
 			}
 		}
@@ -90,8 +89,8 @@ func sideEffecting(in *ir.Instr) bool {
 // instructions and propagated through operands (mark and sweep), so a
 // cycle of phis feeding only each other is dead and removed — the
 // one-pass "is it an operand anywhere" test would keep it forever.
-func dceFunc(f *ir.Function) bool {
-	live := make(map[*ir.Instr]bool)
+func dceFunc(f *ir.Function) {
+	live := make(map[*ir.Instr]bool, f.NumInstrs())
 	var work []*ir.Instr
 	markArgs := func(in *ir.Instr) {
 		for _, a := range in.Args {
@@ -114,19 +113,15 @@ func dceFunc(f *ir.Function) bool {
 		work = work[:len(work)-1]
 		markArgs(in)
 	}
-	changed := false
 	for _, b := range f.Blocks {
 		kept := b.Instrs[:0]
 		for _, in := range b.Instrs {
-			if in.HasResult() && !live[in] && !sideEffecting(in) {
-				changed = true
-				continue
+			if !in.HasResult() || live[in] || sideEffecting(in) {
+				kept = append(kept, in)
 			}
-			kept = append(kept, in)
 		}
 		b.Instrs = kept
 	}
-	return changed
 }
 
 func removeUnreachable(f *ir.Function) {

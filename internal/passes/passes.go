@@ -1,5 +1,5 @@
 // Package passes provides the middle-end passes run by the accelOS JIT
-// pipeline: constant folding, dead code elimination, a liveness-based
+// pipeline: constant folding, dead code elimination, inlining, a liveness-based
 // register usage estimator (feeding the occupancy model) and instruction
 // counting (feeding the adaptive scheduling policy).
 package passes
@@ -30,15 +30,17 @@ func NewManager(ps ...Pass) *Manager {
 
 // O1 returns the optimization pipeline the bytecode VM compiles behind:
 // mem2reg (allocas to SSA values with phis), constant folding, dead
-// code elimination, and straight-line block merging, in that order.
-// Passes named in disable are skipped — the per-pass knob the parity
-// suite and the accelsim -dump-ir tool use to isolate one pass.
+// code elimination and CFG simplification, then inlining of every call
+// a kernel makes into SSA callee bodies, then constfold, dce and
+// simplifycfg again over the inlined code. Passes named in disable are
+// skipped (every instance of a repeated pass) — the per-pass knob the
+// parity suite and the accelsim -dump-ir tool use to isolate one pass.
 func O1(disable ...string) *Manager {
 	skip := make(map[string]bool, len(disable))
 	for _, n := range disable {
 		skip[n] = true
 	}
-	all := []Pass{Mem2Reg{}, ConstFold{}, DCE{}, SimplifyCFG{}}
+	all := []Pass{Mem2Reg{}, ConstFold{}, DCE{}, SimplifyCFG{}, Inline{}, ConstFold{}, DCE{}, SimplifyCFG{}}
 	var ps []Pass
 	for _, p := range all {
 		if !skip[p.Name()] {

@@ -83,13 +83,14 @@ int rt_is_master_workitem()
     return get_local_id(0) == 0 && get_local_id(1) == 0 && get_local_id(2) == 0;
 }
 
+/* Each branch loads only the RT words it uses: once inlined with a
+   constant d, the other arms fold away, and a load hoisted above the
+   ladder would survive (loads are kept as potentially trapping). */
 long rt_group_id(global long* rt, local long* sd, long hdlr, int d)
 {
-    long gx = rt[4];
-    long gy = rt[5];
-    if (d == 0) return hdlr % gx;
-    if (d == 1) return (hdlr / gx) % gy;
-    return hdlr / (gx * gy);
+    if (d == 0) return hdlr % rt[4];
+    if (d == 1) return (hdlr / rt[4]) % rt[5];
+    return hdlr / (rt[4] * rt[5]);
 }
 
 long rt_local_id(global long* rt, local long* sd, long hdlr, int d)
